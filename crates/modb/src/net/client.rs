@@ -292,9 +292,10 @@ impl NetClient {
                         delta: SubDelta::Intervals(delta),
                         lagged,
                         cache: FrameCache::default(),
-                        // Client-side events have no local outbox enqueue
-                        // stamp; drain-lag is a server-side measurement.
+                        // Client-side events carry no server stamps: drain lag
+                        // and commit-to-push are server-side measurements.
                         enqueued_ns: 0,
+                        commit_ns: 0,
                     }));
                 }
                 Some(Frame::RowEvent {
@@ -307,9 +308,10 @@ impl NetClient {
                         delta: SubDelta::Rows(delta),
                         lagged,
                         cache: FrameCache::default(),
-                        // Client-side events have no local outbox enqueue
-                        // stamp; drain-lag is a server-side measurement.
+                        // Client-side events carry no server stamps: drain lag
+                        // and commit-to-push are server-side measurements.
                         enqueued_ns: 0,
+                        commit_ns: 0,
                     }));
                 }
                 // A following connection can interleave replication
@@ -360,9 +362,10 @@ impl NetClient {
                     delta: SubDelta::Intervals(delta),
                     lagged,
                     cache: FrameCache::default(),
-                    // Client-side events have no local outbox enqueue
-                    // stamp; drain-lag is a server-side measurement.
+                    // Client-side events carry no server stamps: drain lag
+                    // and commit-to-push are server-side measurements.
                     enqueued_ns: 0,
+                    commit_ns: 0,
                 }),
                 Some(Frame::RowEvent {
                     subscription,
@@ -373,9 +376,10 @@ impl NetClient {
                     delta: SubDelta::Rows(delta),
                     lagged,
                     cache: FrameCache::default(),
-                    // Client-side events have no local outbox enqueue
-                    // stamp; drain-lag is a server-side measurement.
+                    // Client-side events carry no server stamps: drain lag
+                    // and commit-to-push are server-side measurements.
                     enqueued_ns: 0,
+                    commit_ns: 0,
                 }),
                 Some(Frame::Bye) => return Err(NetError::Closed),
                 Some(other) => {
@@ -448,9 +452,10 @@ impl NetClient {
                     delta: SubDelta::Intervals(delta),
                     lagged,
                     cache: FrameCache::default(),
-                    // Client-side events have no local outbox enqueue
-                    // stamp; drain-lag is a server-side measurement.
+                    // Client-side events carry no server stamps: drain lag
+                    // and commit-to-push are server-side measurements.
                     enqueued_ns: 0,
+                    commit_ns: 0,
                 }),
                 Frame::RowEvent {
                     subscription,
@@ -461,9 +466,10 @@ impl NetClient {
                     delta: SubDelta::Rows(delta),
                     lagged,
                     cache: FrameCache::default(),
-                    // Client-side events have no local outbox enqueue
-                    // stamp; drain-lag is a server-side measurement.
+                    // Client-side events carry no server stamps: drain lag
+                    // and commit-to-push are server-side measurements.
                     enqueued_ns: 0,
+                    commit_ns: 0,
                 }),
                 Frame::ReplDelta { epoch, ops } => self
                     .buffered_repl

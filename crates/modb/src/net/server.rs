@@ -32,6 +32,14 @@
 //! the same bytes — one serialization per commit delta regardless of
 //! subscriber count, and bit-identical frames on every socket.
 //!
+//! ## Socket writes
+//!
+//! Accepted sockets set `TCP_NODELAY`, and each pass over a connection
+//! hands its queued frames to one `write_vectored` call (see
+//! `pump_socket_write`): small frames still share a segment, but no
+//! frame waits for the peer's delayed ACK the way Nagle's algorithm
+//! would hold the second and later frames of a maintenance round.
+//!
 //! ## Connection lifecycle
 //!
 //! ```text
@@ -62,7 +70,7 @@ use crate::store::ModStore;
 use crate::subscription::{DeltaSink, FeedEvent, SubAnswer, SubDelta, SubscriptionError};
 use crate::telemetry::{self, TraceEvent, TraceStage};
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -81,6 +89,10 @@ use super::wire::{
 /// into the [`DeltaSink`] where the squash-oldest/`lagged` contract
 /// applies instead of buffering unboundedly.
 const OUT_HIGH_WATERMARK: usize = 1 << 20;
+
+/// Most queued frames one `write_vectored` call gathers — far below
+/// `IOV_MAX` (1024 on Linux); a longer queue takes another call.
+const MAX_WRITE_SLICES: usize = 64;
 
 /// Tunables of a [`NetServer`].
 #[derive(Debug, Clone)]
@@ -440,7 +452,10 @@ fn accept_ready(
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => break,
         };
-        if stream.set_nonblocking(true).is_err() {
+        // No Nagle: a wake-up's frames already leave in one gathered
+        // write, and holding a round's later frames for the peer's
+        // delayed ACK (≈40 ms on Linux) would stall pushed deltas.
+        if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
             continue;
         }
         let sink = Arc::new(DeltaSink::bounded(shared.config.outbox_capacity));
@@ -489,21 +504,21 @@ fn pump_outbox(conn: &mut Conn, now: Instant, pacing: Duration, store: &ModStore
             lagged,
             cache,
             enqueued_ns,
+            commit_ns,
         } = event;
         let metrics_on = telemetry::metrics_on();
-        if metrics_on && enqueued_ns != 0 {
+        if metrics_on {
             let drained = telemetry::now_ns();
             let t = store.telemetry();
-            t.push_drain_lag_ns
-                .record(drained.saturating_sub(enqueued_ns));
-            // End-to-end commit-to-push latency, anchored at the start
-            // of the most recent commit. An approximation under
-            // pipelining (a later commit may restamp the anchor), but
-            // within one order of magnitude — which is what the
-            // acceptance gate checks against BENCH_fanout.
-            let anchor = t.last_commit_start.load(Ordering::Relaxed);
-            if anchor != 0 {
-                t.commit_to_push_ns.record(drained.saturating_sub(anchor));
+            if enqueued_ns != 0 {
+                t.push_drain_lag_ns
+                    .record(drained.saturating_sub(enqueued_ns));
+            }
+            // End-to-end latency from the start of the commit this
+            // event stems from (the oldest one of a coalesced batch).
+            if commit_ns != 0 {
+                t.commit_to_push_ns
+                    .record(drained.saturating_sub(commit_ns));
             }
         }
         // Encode-once: the first outbox to deliver this event primes
@@ -552,15 +567,35 @@ fn pump_outbox(conn: &mut Conn, now: Instant, pacing: Duration, store: &ModStore
     true
 }
 
-/// Writes queued bytes until the socket would block or the queue
-/// empties. Returns `false` on a transport error.
+/// Writes queued frames until the socket would block or the queue
+/// empties. Each call gathers up to [`MAX_WRITE_SLICES`] frames into
+/// one `write_vectored`, so the frames one wake-up queued (a fan-out
+/// event, a follower's `ReplDelta` + `Response` pair, a `FOLLOW`
+/// catch-up burst) leave in one syscall and, on a `TCP_NODELAY`
+/// socket, without waiting on the peer's delayed ACK. A short write
+/// pops every frame it finished and carries the split one's progress
+/// in `front_written`. Returns `false` on a transport error.
 fn pump_socket_write(conn: &mut Conn) -> bool {
-    while let Some(front) = conn.out.front() {
-        match conn.stream.write(&front[conn.front_written..]) {
+    while !conn.out.is_empty() {
+        let written = {
+            let mut slices = [IoSlice::new(&[]); MAX_WRITE_SLICES];
+            for (i, (slice, frame)) in slices.iter_mut().zip(&conn.out).enumerate() {
+                let skip = if i == 0 { conn.front_written } else { 0 };
+                *slice = IoSlice::new(&frame[skip..]);
+            }
+            let n = conn.out.len().min(MAX_WRITE_SLICES);
+            conn.stream.write_vectored(&slices[..n])
+        };
+        match written {
             Ok(0) => return false,
-            Ok(n) => {
-                conn.front_written += n;
-                if conn.front_written == front.len() {
+            Ok(mut n) => {
+                while let Some(front) = conn.out.front() {
+                    let left = front.len() - conn.front_written;
+                    if n < left {
+                        conn.front_written += n;
+                        break;
+                    }
+                    n -= left;
                     conn.out_bytes -= front.len();
                     conn.front_written = 0;
                     conn.out.pop_front();
@@ -877,5 +912,148 @@ fn convert_output(out: QueryOutput) -> WireOutput {
         QueryOutput::Subscriptions(infos) => WireOutput::Subscriptions(infos),
         QueryOutput::Metrics(snapshot) => WireOutput::Metrics(snapshot),
         QueryOutput::Trace { epoch, events } => WireOutput::Trace { epoch, events },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The event-loop state `accept_ready` needs, around an empty MOD.
+    fn shared() -> Arc<Shared> {
+        Arc::new(Shared {
+            server: Arc::new(ModServer::new()),
+            config: NetServerConfig::default(),
+            shutting_down: AtomicBool::new(false),
+            active: AtomicUsize::new(0),
+            waker: Waker::new().expect("waker"),
+            completions: Mutex::new(Vec::new()),
+            hub: ReplicationHub::new(),
+        })
+    }
+
+    /// Connects `n` blocking peers to a loopback listener and returns
+    /// them with the connections `accept_ready` built for them.
+    fn accept_peers(n: usize) -> (Vec<TcpStream>, HashMap<u64, Conn>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        listener
+            .set_nonblocking(true)
+            .expect("nonblocking listener");
+        let addr = listener.local_addr().expect("bound address");
+        let peers: Vec<TcpStream> = (0..n)
+            .map(|_| TcpStream::connect(addr).expect("connects"))
+            .collect();
+        let shared = shared();
+        let mut conns = HashMap::new();
+        let mut next_token = 0;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            accept_ready(
+                &listener,
+                &shared,
+                &mut conns,
+                &mut next_token,
+                Duration::ZERO,
+            );
+            if conns.len() == n || Instant::now() >= deadline {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(conns.len(), n, "every peer accepted");
+        (peers, conns)
+    }
+
+    #[test]
+    fn accepted_sockets_set_nodelay() {
+        let (_peers, conns) = accept_peers(3);
+        for conn in conns.values() {
+            assert!(conn.stream.nodelay().expect("reads TCP_NODELAY"));
+        }
+    }
+
+    /// Frames of uneven lengths, so short writes rarely end on a frame
+    /// boundary.
+    fn frame(i: u64) -> Frame {
+        Frame::Response {
+            id: i,
+            result: Err("x".repeat(100 + (i as usize * 37) % 3000)),
+        }
+    }
+
+    /// A peer that reads nothing at first leaves frames queued past the
+    /// socket buffer, so `write_vectored` returns short writes that end
+    /// mid-frame. The peer must still receive every frame, whole, in
+    /// order and byte-identical to its encoding, and the queue
+    /// accounting must return to empty.
+    #[test]
+    fn short_vectored_writes_keep_frames_whole_and_ordered() {
+        let (mut peers, mut conns) = accept_peers(1);
+        let mut peer = peers.pop().expect("one peer");
+        let conn = conns.values_mut().next().expect("one conn");
+
+        // Queue and pump until the socket refuses bytes, then queue as
+        // much again so the drain below runs many short writes.
+        let mut frames = Vec::new();
+        let mut queue_batch = |conn: &mut Conn| {
+            for _ in 0..MAX_WRITE_SLICES {
+                let f = frame(frames.len() as u64);
+                conn.queue_bytes(encode_frame_bytes(&f).expect("encodes"));
+                frames.push(f);
+            }
+        };
+        let mut batches = 0;
+        while conn.out.is_empty() {
+            assert!(batches < 1_000, "the socket never filled");
+            queue_batch(conn);
+            batches += 1;
+            assert!(pump_socket_write(conn));
+        }
+        for _ in 0..batches {
+            queue_batch(conn);
+        }
+        let expected: Vec<u8> = frames
+            .iter()
+            .flat_map(|f| encode_frame_bytes(f).expect("encodes").to_vec())
+            .collect();
+        // `out_bytes` counts every queued frame whole, the split front
+        // one included.
+        assert_eq!(
+            conn.out_bytes,
+            conn.out.iter().map(|f| f.len()).sum::<usize>()
+        );
+
+        let total = expected.len();
+        let reader = std::thread::spawn(move || {
+            let mut got = vec![0u8; total];
+            let mut at = 0;
+            while at < total {
+                let end = (at + 1500).min(total);
+                peer.read_exact(&mut got[at..end]).expect("reads");
+                at = end;
+            }
+            got
+        });
+        let mut split_mid_frame = conn.front_written != 0;
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !conn.out.is_empty() {
+            assert!(Instant::now() < deadline, "drain stalled");
+            assert!(pump_socket_write(conn));
+            split_mid_frame |= conn.front_written != 0;
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        assert_eq!(conn.out_bytes, 0);
+        assert_eq!(conn.front_written, 0);
+        assert!(split_mid_frame, "no write ended mid-frame");
+
+        let got = reader.join().expect("reader");
+        assert!(got == expected, "byte stream differs from the encodings");
+        let mut rest = &got[..];
+        for f in &frames {
+            let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+            assert_eq!(&decode_payload(&rest[4..4 + len]).expect("decodes"), f);
+            rest = &rest[4 + len..];
+        }
+        assert!(rest.is_empty());
     }
 }

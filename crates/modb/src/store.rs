@@ -158,6 +158,13 @@ pub struct ModStore {
     /// reset (and no reset race between concurrent committers) is
     /// needed.
     maintenance_commits: AtomicU64,
+    /// [`telemetry::now_ns`] at the start of the oldest commit no
+    /// maintenance round has taken yet (0: none pending, or telemetry
+    /// off). The next round takes it and stamps every delta it emits
+    /// with it, so `commit_to_push_ns` measures from the commit that
+    /// caused the push — the oldest one when a batch window coalesced
+    /// several.
+    pending_commit_start: AtomicU64,
     snapshots_delta_applied: AtomicU64,
     snapshots_rebuilt: AtomicU64,
     /// Engine caches to drop alongside the contents on [`ModStore::clear`].
@@ -206,6 +213,7 @@ impl ModStore {
             feed_bound: AtomicU64::new(DEFAULT_FEED_BOUND as u64),
             maintenance_batch: AtomicU64::new(1),
             maintenance_commits: AtomicU64::new(0),
+            pending_commit_start: AtomicU64::new(0),
             snapshots_delta_applied: AtomicU64::new(0),
             snapshots_rebuilt: AtomicU64::new(0),
             caches: Mutex::new(Vec::new()),
@@ -276,9 +284,13 @@ impl ModStore {
         let started =
             (telemetry::metrics_on() || telemetry::trace_on()).then(std::time::Instant::now);
         if started.is_some() {
-            self.telemetry
-                .last_commit_start
-                .store(telemetry::now_ns(), Ordering::Relaxed);
+            // Only the oldest pending commit anchors the next round.
+            let _ = self.pending_commit_start.compare_exchange(
+                0,
+                telemetry::now_ns(),
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            );
         }
         let mut log = self.delta.lock().unwrap();
         let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
@@ -661,8 +673,9 @@ impl ModStore {
             subs.retain(|w| w.strong_count() > 0);
             subs.iter().filter_map(Weak::upgrade).collect()
         };
+        let commit_start = self.pending_commit_start.swap(0, Ordering::Relaxed);
         for registry in live {
-            registry.sync(self);
+            registry.sync(self, commit_start);
         }
     }
 

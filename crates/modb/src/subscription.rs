@@ -576,6 +576,12 @@ pub struct FeedEvent {
     /// A squash keeps the *older* timestamp, so the lag of a composed
     /// event reflects how long its oldest constituent waited.
     pub enqueued_ns: u64,
+    /// [`crate::telemetry::now_ns`] at the start of the commit this
+    /// delta stems from — the oldest one when a batch window coalesced
+    /// several (0 when unknown or telemetry is off). The drain side
+    /// subtracts it to sample `commit_to_push_ns`; a squash keeps the
+    /// older stamp, like `enqueued_ns`.
+    pub commit_ns: u64,
 }
 
 impl PartialEq for FeedEvent {
@@ -655,7 +661,7 @@ impl DeltaSink {
 
     /// Enqueues one event, squashing the oldest same-subscription pair
     /// on overflow. No-op after [`DeltaSink::close`].
-    fn push(&self, subscription: &str, delta: &SubDelta, cache: &FrameCache) {
+    fn push(&self, subscription: &str, delta: &SubDelta, cache: &FrameCache, commit_ns: u64) {
         let mut st = self.state.lock().unwrap();
         if st.closed {
             return;
@@ -673,6 +679,7 @@ impl DeltaSink {
             } else {
                 0
             },
+            commit_ns,
         });
         drop(st);
         self.cv.notify_one();
@@ -807,12 +814,13 @@ impl SubscriberSlot {
     /// Delivers one emitted delta: one encode-once [`FrameCache`] is
     /// created per (slot, delta) and shared by every attached sink —
     /// the pushed frame embeds the subscription name, so connections
-    /// watching the same name broadcast identical bytes.
-    fn deliver(&mut self, delta: &SubDelta, capacity: usize) {
+    /// watching the same name broadcast identical bytes. `commit_ns`
+    /// rides along as every pushed event's [`FeedEvent::commit_ns`].
+    fn deliver(&mut self, delta: &SubDelta, capacity: usize, commit_ns: u64) {
         let cache = FrameCache::default();
         self.sinks.retain(|w| match w.upgrade() {
             Some(sink) => {
-                sink.push(&self.name, delta, &cache);
+                sink.push(&self.name, delta, &cache, commit_ns);
                 true
             }
             None => false,
@@ -917,6 +925,11 @@ struct ShareCore {
     /// Keeping the unvisited path write-free is the whole point of the
     /// index.
     rounds_absorbed: u64,
+    /// The start stamp of the oldest commit the maintenance round now
+    /// visiting this share covers (0 outside a round visit). Every
+    /// delta the visit emits carries it to the push outboxes as
+    /// [`FeedEvent::commit_ns`].
+    round_commit_ns: u64,
 }
 
 impl SubState {
@@ -973,6 +986,7 @@ impl ShareCore {
             error: None,
             stats: SubscriptionStats::default(),
             rounds_absorbed: 0,
+            round_commit_ns: 0,
         }
     }
 
@@ -997,7 +1011,7 @@ impl ShareCore {
     /// per-slot encode-once cache.
     fn push_feed(&mut self, delta: SubDelta, capacity: usize) {
         for slot in &mut self.slots {
-            slot.deliver(&delta, capacity);
+            slot.deliver(&delta, capacity, self.round_commit_ns);
         }
     }
 
@@ -1913,7 +1927,12 @@ impl SubscriptionRegistry {
     /// materialized **lazily**: a commit whose delta every visited
     /// share provably skips costs only the per-share band-bound check —
     /// no snapshot refresh, no engine work, no thread spawned.
-    pub fn sync(&self, store: &ModStore) {
+    ///
+    /// `commit_start_ns` is the [`crate::telemetry::now_ns`] stamp of
+    /// the oldest commit the round covers (0 when unknown); every delta
+    /// the round emits carries it to the push outboxes as
+    /// [`FeedEvent::commit_ns`].
+    pub fn sync(&self, store: &ModStore, commit_start_ns: u64) {
         let feed_cap = store.feed_bound();
         let tolerance = self.row_tolerance();
         if self.sync_mode() == SyncMode::Sequential {
@@ -1935,7 +1954,9 @@ impl SubscriptionRegistry {
                 core.stats.skipped_unvisited += rounds.saturating_sub(core.rounds_absorbed);
                 core.rounds_absorbed = core.rounds_absorbed.max(rounds);
                 let before = stats_on.then(|| core.stats);
+                core.round_commit_ns = commit_start_ns;
                 Self::refresh(&mut core, store, &mut lazy, feed_cap, false, tolerance);
+                core.round_commit_ns = 0;
                 if let Some(before) = before {
                     Self::record_visit(store, share.id, store.epoch(), &before, &core.stats);
                 }
@@ -2016,7 +2037,9 @@ impl SubscriptionRegistry {
             core.rounds_absorbed = core.rounds_absorbed.max(completed);
             let done = Self::try_cheap(&mut core, store, now, &mut shared);
             if done {
+                core.round_commit_ns = commit_start_ns;
                 self.publish_guard(*id, &mut core, store, &mut None, feed_cap, tolerance);
+                core.round_commit_ns = 0;
                 if let Some(before) = before {
                     Self::record_visit(store, *id, now, &before, &core.stats);
                 }
@@ -2040,8 +2063,10 @@ impl SubscriptionRegistry {
             let (id, share, before) = entry;
             let mut lazy = Some(Arc::clone(&snapshot));
             let mut core = share.core.lock().unwrap();
+            core.round_commit_ns = commit_start_ns;
             Self::refresh(&mut core, store, &mut lazy, feed_cap, true, tolerance);
             self.publish_guard(*id, &mut core, store, &mut lazy, feed_cap, tolerance);
+            core.round_commit_ns = 0;
             if let Some(before) = before {
                 Self::record_visit(store, *id, now, before, &core.stats);
             }

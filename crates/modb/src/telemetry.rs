@@ -498,11 +498,10 @@ pub struct Telemetry {
     pub frame_encode_ns: Histogram,
     /// Outbox lag: event enqueued to event drained onto a socket.
     pub push_drain_lag_ns: Histogram,
-    /// Commit start to pushed frame handed to a socket.
+    /// Start of the commit a pushed event stems from (the oldest one
+    /// when a batch window coalesced several) to its frame handed to a
+    /// socket.
     pub commit_to_push_ns: Histogram,
-    /// `now_ns` at the start of the most recent commit (the anchor the
-    /// push path subtracts to sample `commit_to_push_ns`).
-    pub last_commit_start: AtomicU64,
     /// The epoch-scoped trace ring.
     pub trace: TraceRing,
 }

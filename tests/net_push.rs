@@ -8,7 +8,7 @@
 //! client recovered from a full answer fetch.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use uncertain_nn::core::answer::AnswerSet;
 use uncertain_nn::core::probrows::ProbRowSet;
 use uncertain_nn::modb::net::{NetClient, NetServer, NetServerConfig, WireOutput};
@@ -462,6 +462,118 @@ fn lagged_row_stream_resyncs_bit_identically() {
     );
 
     writer.close().expect("clean close");
+    subscriber.close().expect("clean close");
+    net.shutdown();
+}
+
+/// The standing query of the latency tests under subscription `name`.
+fn register_named(name: &str) -> String {
+    format!(
+        "REGISTER CONTINUOUS SELECT * FROM MOD WHERE EXISTS TIME IN [0, 60] \
+         AND PROB_NN(*, Tr0, TIME) > 0 AS {name}"
+    )
+}
+
+/// One connection holding three names on one query receives three
+/// frames per answer-changing commit. The last of them must arrive
+/// right after the write is acknowledged: were the server socket left
+/// under Nagle's algorithm, the later frames would wait for the
+/// subscriber's delayed ACK (≈40 ms on Linux) on every commit.
+#[test]
+fn pushed_frames_arrive_with_the_write_ack() {
+    const NAMES: [&str; 3] = ["n0", "n1", "n2"];
+    const WRITES: usize = 11;
+    let server = populated_server();
+    let net = NetServer::bind("127.0.0.1:0", Arc::clone(&server)).expect("binds");
+    let addr = net.local_addr();
+
+    let mut subscriber = NetClient::connect(addr).expect("subscriber connects");
+    for name in NAMES {
+        subscribe_stmt(&mut subscriber, &register_named(name), name);
+    }
+    let mut writer = NetClient::connect(addr).expect("writer connects");
+
+    let mut latencies = Vec::with_capacity(WRITES);
+    for k in 0..WRITES {
+        // Alternately into and far out of the band: every commit
+        // changes the answer, so every name gets a frame.
+        let y = if k % 2 == 0 { 0.5 } else { 70_000.0 };
+        // A request/response exchange on the subscriber's socket, as a
+        // subscriber that also queries makes: it puts the subscriber's
+        // TCP into interactive mode, where its ACKs are delayed.
+        subscriber.execute("SHOW SUBSCRIPTIONS").expect("lists");
+        writer.update(straight(50, y)).expect("update");
+        let acked = Instant::now();
+        let epoch = server.store().epoch();
+        let mut pending: Vec<&str> = NAMES.to_vec();
+        while !pending.is_empty() {
+            let ev = subscriber
+                .next_event(Some(EVENT_TIMEOUT))
+                .expect("event stream healthy")
+                .unwrap_or_else(|| panic!("no event within {EVENT_TIMEOUT:?} (epoch {epoch})"));
+            assert_eq!(ev.delta.epoch(), epoch, "one epoch in flight at a time");
+            pending.retain(|name| *name != ev.subscription);
+        }
+        latencies.push(acked.elapsed());
+    }
+    latencies.sort();
+    let median = latencies[WRITES / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median ack → last frame {median:?} (all: {latencies:?})"
+    );
+
+    writer.close().expect("clean close");
+    subscriber.close().expect("clean close");
+    net.shutdown();
+}
+
+/// Under a maintenance batch window a burst of commits folds into one
+/// round and one pushed event; its `commit_to_push_ns` sample must run
+/// from the *oldest* coalesced commit, not the one that triggered the
+/// round.
+#[test]
+fn commit_to_push_covers_the_oldest_coalesced_commit() {
+    const BURST: usize = 3;
+    const GAP: Duration = Duration::from_millis(60);
+    let server = populated_server();
+    server.store().set_maintenance_batch(BURST);
+    let net = NetServer::bind("127.0.0.1:0", Arc::clone(&server)).expect("binds");
+    let mut subscriber = NetClient::connect(net.local_addr()).expect("subscriber connects");
+    subscribe(&mut subscriber);
+
+    let histogram = &server.store().telemetry().commit_to_push_ns;
+    let before = histogram.snapshot();
+    for k in 0..BURST {
+        if k > 0 {
+            std::thread::sleep(GAP);
+        }
+        server
+            .store()
+            .insert(straight(40 + k as u64, 0.3 + 0.1 * k as f64))
+            .unwrap();
+    }
+    // A no-op when the window already ran the round.
+    server.store().flush_maintenance();
+    let ev = subscriber
+        .next_event(Some(EVENT_TIMEOUT))
+        .expect("event stream healthy")
+        .expect("the coalesced round pushed an event");
+    assert_eq!(ev.delta.epoch(), server.store().epoch());
+
+    let after = histogram.snapshot();
+    assert_eq!(
+        after.count,
+        before.count + 1,
+        "one pushed event, one sample"
+    );
+    let spanned = GAP * (BURST as u32 - 1);
+    assert!(
+        after.max >= spanned.as_nanos() as u64,
+        "sample of {} ns does not reach back {spanned:?} to the oldest commit",
+        after.max
+    );
+
     subscriber.close().expect("clean close");
     net.shutdown();
 }

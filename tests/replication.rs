@@ -7,7 +7,9 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use uncertain_nn::modb::net::{Follower, NetClient, NetServer, NetServerConfig};
+use uncertain_nn::modb::net::{
+    FollowStart, Follower, NetClient, NetServer, NetServerConfig, ReplEvent,
+};
 use uncertain_nn::prelude::*;
 
 const SYNC_TIMEOUT: Duration = Duration::from_secs(10);
@@ -207,5 +209,59 @@ fn follower_feeds_its_own_subscribers() {
 
     writer.close().expect("writer closes");
     follower.close().expect("follower closes");
+    net.shutdown();
+}
+
+/// A long trajectory, so each commit's `ReplDelta` frame is tens of
+/// kilobytes.
+fn long_track(oid: u64, vertices: usize) -> UncertainTrajectory {
+    let triples: Vec<(f64, f64, f64)> = (0..vertices)
+        .map(|i| (i as f64 * 0.1, oid as f64 + (i % 2) as f64 * 0.01, i as f64))
+        .collect();
+    UncertainTrajectory::with_uniform_pdf(
+        Trajectory::from_triples(Oid(oid), &triples).unwrap(),
+        0.5,
+    )
+    .unwrap()
+}
+
+/// A `FOLLOW` catch-up of ≈12 MB — more than a loopback socket pair
+/// buffers — queued in one go while the follower is not reading yet:
+/// the server drains it through short vectored writes that end
+/// mid-frame, and the follower must still receive every epoch once, in
+/// order, and replay it to the leader's state.
+#[test]
+fn large_catch_up_survives_short_writes() {
+    const COMMITS: u64 = 500;
+    let leader = Arc::new(ModServer::new());
+    for oid in 0..COMMITS {
+        leader.store().insert(long_track(oid, 1000)).unwrap();
+    }
+    let net = NetServer::bind("127.0.0.1:0", Arc::clone(&leader)).expect("binds");
+
+    let mut client = NetClient::connect(net.local_addr()).expect("follower connects");
+    assert!(
+        matches!(client.follow(0), Ok(FollowStart::Continue { epoch: 0 })),
+        "the leader's log covers its whole history: replay, not resync"
+    );
+    // Let the catch-up back up against the unread socket.
+    std::thread::sleep(Duration::from_millis(200));
+    let mirror = ModServer::new();
+    for want in 1..=COMMITS {
+        match client.next_replication(Some(SYNC_TIMEOUT)) {
+            Ok(Some(ReplEvent::Delta { epoch, ops })) => {
+                assert_eq!(epoch, want, "catch-up epochs arrive once, in order");
+                mirror.store().apply_replicated(&ops);
+            }
+            other => panic!("expected the ReplDelta of epoch {want}, got {other:?}"),
+        }
+    }
+    assert_eq!(mirror.store().epoch(), leader.store().epoch());
+    assert_eq!(
+        mirror.store().snapshot().to_vec(),
+        leader.store().snapshot().to_vec()
+    );
+
+    client.close().expect("follower closes");
     net.shutdown();
 }
